@@ -5,7 +5,7 @@
 // ("roughly half the data-plane encoding size for M large enough").
 #include <iostream>
 
-#include "core/equivalence.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "util/format.hpp"
 #include "util/report.hpp"
 #include "workloads/gwlb.hpp"
@@ -25,12 +25,13 @@ void paper_instance() {
   table.set_header({"representation", "tables", "entries", "fields",
                     "depth", "equivalent"});
   auto add = [&](const char* name, const core::Pipeline& p) {
-    const auto eq = core::check_equivalence(gwlb.universal, p);
+    const auto eq =
+        analysis::symbolic::check_table_vs_pipeline(gwlb.universal, p);
     table.add_row({name, std::to_string(p.num_stages()),
                    std::to_string(p.total_entries()),
                    std::to_string(p.field_count()),
                    std::to_string(p.max_depth()),
-                   eq.equivalent ? "yes" : "NO"});
+                   eq.equivalent() ? "yes" : "NO"});
   };
   add("universal (Fig. 1a)", universal);
   add("goto (Fig. 1b)", goto_p);

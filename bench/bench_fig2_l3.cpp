@@ -6,7 +6,7 @@
 // normal forms, footprints, and equivalence checks (core + NetKAT).
 #include <iostream>
 
-#include "core/equivalence.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "core/synthesis.hpp"
 #include "netkat/table_codec.hpp"
 #include "util/report.hpp"
@@ -43,7 +43,8 @@ void run(const workloads::L3Fwd& l3, const char* title) {
         continue;
       }
       const auto& result = out.value();
-      const auto eq = core::check_equivalence(l3.universal, result.pipeline);
+      const auto eq = analysis::symbolic::check_table_vs_pipeline(
+          l3.universal, result.pipeline);
       const auto nk = netkat::verify_against_netkat(l3.universal,
                                                     result.pipeline);
       table.add_row({std::string(to_string(target)),
@@ -53,7 +54,7 @@ void run(const workloads::L3Fwd& l3, const char* title) {
                      std::to_string(result.pipeline.field_count()),
                      std::to_string(result.pipeline.max_depth()),
                      std::to_string(result.trace.size()),
-                     eq.equivalent ? "yes" : "NO",
+                     eq.equivalent() ? "yes" : "NO",
                      nk.consistent ? "yes" : "NO"});
     }
   }

@@ -6,7 +6,7 @@
 // skipping the undecomposable dependency while preserving semantics.
 #include <iostream>
 
-#include "core/equivalence.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "core/synthesis.hpp"
 #include "util/report.hpp"
 #include "workloads/vlan.hpp"
@@ -50,11 +50,12 @@ int main() {
   // Normalization must survive the undecomposable dependency.
   const auto out = core::normalize(vlan, {.target = core::NormalForm::kBoyceCodd});
   if (out.is_ok()) {
-    const auto eq = core::check_equivalence(vlan, out.value().pipeline);
+    const auto eq = analysis::symbolic::check_table_vs_pipeline(
+        vlan, out.value().pipeline);
     std::cout << "normalize(target=BCNF): " << out.value().trace.size()
               << " step(s) applied, " << out.value().skipped.size()
               << " violation(s) skipped as undecomposable, equivalent: "
-              << (eq.equivalent ? "yes" : "NO") << "\n";
+              << (eq.equivalent() ? "yes" : "NO") << "\n";
     for (const std::string& reason : out.value().skipped) {
       std::cout << "  skipped: " << reason << "\n";
     }

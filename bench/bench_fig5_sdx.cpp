@@ -6,7 +6,7 @@
 // Fig. 5c with its footprint and equivalence check.
 #include <iostream>
 
-#include "core/equivalence.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "core/fd_mine.hpp"
 #include "netkat/table_codec.hpp"
 #include "util/report.hpp"
@@ -47,8 +47,10 @@ int main() {
     std::string eq = "-";
     std::string nk = "-";
     if (valid) {
-      eq = core::check_equivalence(sdx.universal, p).equivalent ? "yes"
-                                                                : "NO";
+      eq = analysis::symbolic::check_table_vs_pipeline(sdx.universal, p)
+                   .equivalent()
+               ? "yes"
+               : "NO";
       nk = netkat::verify_against_netkat(sdx.universal, p).consistent
                ? "yes"
                : "NO";

@@ -4,8 +4,7 @@
 // Measures, per fleet size N x 8 backends for N in {1k, 10k, 100k, 1M}:
 //   * bytes/rule of the columnar universal table vs a row-of-vectors
 //     reference model built from the same data in the same run;
-//   * bytes/rule of the flattened dp::Program vs the legacy
-//     vector-of-Rule layout, also measured same-run;
+//   * bytes/rule of the flattened dp::Program;
 //   * universal-table build time;
 //   * one full TANE FD mine;
 //   * per-intent incremental compile latency (universal representation)
@@ -125,7 +124,6 @@ struct SizePoint {
   std::size_t bytes_per_rule_columnar = 0;
   std::size_t bytes_per_rule_rowstore = 0;
   std::size_t dp_bytes_per_rule_flat = 0;
-  std::size_t dp_bytes_per_rule_legacy = 0;
   double build_ms = 0.0;
   double mine_ms = 0.0;
   std::size_t intents = 0;
@@ -165,8 +163,6 @@ SizePoint run_size(std::size_t services, std::size_t backends,
   pt.rules = binding.program().total_rules();
   pt.dp_bytes_per_rule_flat =
       binding.program().rule_memory_bytes() / pt.rules;
-  pt.dp_bytes_per_rule_legacy =
-      dp::legacy_rule_bytes(binding.program()) / pt.rules;
 
   // A live switch consumes every update batch; its copy of the program
   // must track the compiler's exactly (checked in the drift gate below).
@@ -255,7 +251,7 @@ int main(int argc, char** argv) {
 
   ReportTable table("fleet-scale metrics per size");
   table.set_header({"services", "rules", "B/rule col", "B/rule rows",
-                    "B/rule dp", "B/rule legacy", "build ms", "mine ms",
+                    "B/rule dp", "build ms", "mine ms",
                     "inc p50 us", "apply p50 us", "RSS MB"});
 
   std::vector<SizePoint> points;
@@ -270,7 +266,6 @@ int main(int argc, char** argv) {
                    std::to_string(pt.bytes_per_rule_columnar),
                    std::to_string(pt.bytes_per_rule_rowstore),
                    std::to_string(pt.dp_bytes_per_rule_flat),
-                   std::to_string(pt.dp_bytes_per_rule_legacy),
                    format_double(pt.build_ms, 1),
                    format_double(pt.mine_ms, 1),
                    format_double(pt.inc_median_us, 1),
@@ -298,7 +293,6 @@ int main(int argc, char** argv) {
          << ", \"bytes_per_rule_rowstore\": " << pt.bytes_per_rule_rowstore
          << ",\n"
          << "     \"dp_bytes_per_rule_flat\": " << pt.dp_bytes_per_rule_flat
-         << ", \"dp_bytes_per_rule_legacy\": " << pt.dp_bytes_per_rule_legacy
          << ",\n"
          << "     \"universal_build_ms\": " << pt.build_ms
          << ", \"full_mine_ms\": " << pt.mine_ms << ",\n"

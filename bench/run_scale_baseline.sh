@@ -3,9 +3,8 @@
 # the numbers the fleet-scale acceptance criteria are judged against:
 #
 #   - bytes/rule of the columnar universal table vs the row-of-vectors
-#     reference, and of the flattened dp::Program vs the legacy
-#     vector-of-Rule layout (both measured same-run);
-#   - universal build, full TANE mine, and sharded-mine wall times;
+#     reference (measured same-run), and of the flattened dp::Program;
+#   - universal build and full TANE mine wall times;
 #   - per-intent incremental compile latency with the rule_diff /
 #     slice_merge / switch_apply phase split;
 #   - peak RSS per tier and the drift gate (patched program == fresh

@@ -5,7 +5,7 @@
 // Run: ./build/examples/quickstart
 #include <iostream>
 
-#include "core/equivalence.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "core/fd_mine.hpp"
 #include "core/normal_forms.hpp"
 #include "core/synthesis.hpp"
@@ -51,9 +51,11 @@ int main() {
   }
   std::cout << "\n" << result.value().pipeline.to_string() << "\n";
 
-  // 6. Prove nothing changed semantically.
-  const auto eq = core::check_equivalence(table, result.value().pipeline);
-  std::cout << "equivalent: " << (eq.equivalent ? "yes" : "NO") << " ("
-            << eq.packets_checked << " packets checked)\n";
-  return eq.equivalent ? 0 : 1;
+  // 6. Prove nothing changed semantically: an exact decision-diagram
+  //    proof over every packet, not a probe sample.
+  const auto eq = analysis::symbolic::check_table_vs_pipeline(
+      table, result.value().pipeline);
+  std::cout << "proof: " << analysis::symbolic::to_string(eq.outcome)
+            << " (" << eq.stats.nodes << " diagram nodes)\n";
+  return eq.equivalent() ? 0 : 1;
 }

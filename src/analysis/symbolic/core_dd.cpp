@@ -1,6 +1,7 @@
-// core::Pipeline / core::Table front-end: value-universe diagrams over
-// the matched attribute names of both sides, deciding equivalence on
-// Pipeline::evaluate's (hit, actions) observable.
+// Universal core::Table vs decomposed core::Pipeline front-end:
+// value-universe diagrams over the matched attribute names of both
+// sides (the table runs as a one-stage pipeline), deciding equivalence
+// on Pipeline::evaluate's (hit, actions) observable.
 //
 // Universe semantics: one Value variable per matched attribute name
 // (metadata names ranked first — a metadata write then substitutes at
@@ -293,18 +294,20 @@ std::string describe_packet(const core::PacketState& packet) {
 
 }  // namespace
 
-Result check_pipelines(const core::Pipeline& a, const core::Pipeline& b,
-                       const Options& options) {
+Result check_table_vs_pipeline(const core::Table& universal,
+                               const core::Pipeline& pipeline,
+                               const Options& options) {
+  const core::Pipeline single = core::Pipeline::single(universal);
   return detail::run_guarded(
       "pipelines", options, [&](DiagramStore& dd) {
         CoreContext ctx(dd);
         std::set<std::string> names;
-        collect_match_names(a, names);
-        collect_match_names(b, names);
+        collect_match_names(single, names);
+        collect_match_names(pipeline, names);
         ctx.build_universe(names);
 
-        const NodeId ra = PipelineTranslator(ctx, a).root();
-        const NodeId rb = PipelineTranslator(ctx, b).root();
+        const NodeId ra = PipelineTranslator(ctx, single).root();
+        const NodeId rb = PipelineTranslator(ctx, pipeline).root();
         Result result;
         if (ra == rb) {
           result.outcome = Outcome::kEquivalent;
@@ -314,8 +317,8 @@ Result check_pipelines(const core::Pipeline& a, const core::Pipeline& b,
         ensures(div.has_value(), "divergent roots without a divergence");
         const core::PacketState packet =
             packet_from_path(ctx, div->path, ra, rb);
-        const core::EvalResult ea = a.evaluate(packet);
-        const core::EvalResult eb = b.evaluate(packet);
+        const core::EvalResult ea = single.evaluate(packet);
+        const core::EvalResult eb = pipeline.evaluate(packet);
         if (ea.hit == eb.hit && (!ea.hit || ea.actions == eb.actions)) {
           result.outcome = Outcome::kUnknown;
           result.note = "counterexample failed scalar confirmation";
@@ -330,13 +333,6 @@ Result check_pipelines(const core::Pipeline& a, const core::Pipeline& b,
         result.counterexample = std::move(cex);
         return result;
       });
-}
-
-Result check_table_vs_pipeline(const core::Table& universal,
-                               const core::Pipeline& pipeline,
-                               const Options& options) {
-  return check_pipelines(core::Pipeline::single(universal), pipeline,
-                         options);
 }
 
 }  // namespace maton::analysis::symbolic

@@ -15,7 +15,6 @@ constexpr std::uint32_t kLeafVar = std::numeric_limits<std::uint32_t>::max();
 enum OpTag : std::uint32_t {
   kOpAnd = 1,
   kOpOr = 2,
-  kOpNot = 3,
   kOpIte = 4,
   kOpOverlay = 5,
 };
@@ -44,11 +43,6 @@ NodeId DiagramStore::leaf(std::uint64_t payload) {
 
 bool DiagramStore::is_leaf(NodeId id) const noexcept {
   return nodes_[id].kind == Kind::kLeaf;
-}
-
-std::uint64_t DiagramStore::leaf_payload(NodeId id) const {
-  expects(is_leaf(id), "leaf_payload on an inner node");
-  return nodes_[id].payload;
 }
 
 NodeId DiagramStore::bit_node(std::uint32_t var, NodeId lo, NodeId hi) {
@@ -149,32 +143,6 @@ NodeId DiagramStore::apply_bool(NodeId a, NodeId b, bool is_and) {
     for (const std::uint64_t v : branch_values({a, b}, var)) {
       edges.emplace_back(v, apply_bool(cofactor(a, var, v, false),
                                        cofactor(b, var, v, false), is_and));
-    }
-    result = value_node(var, std::move(edges), def);
-  }
-  op_memo_.emplace(key, result);
-  return result;
-}
-
-NodeId DiagramStore::b_not(NodeId a) {
-  if (a == false_) return true_;
-  if (a == true_) return false_;
-  expects(!is_leaf(a), "negation over a non-boolean leaf");
-  const OpKey key{kOpNot, a, 0, 0};
-  ++stats_.memo_lookups;
-  if (const auto it = op_memo_.find(key); it != op_memo_.end()) {
-    ++stats_.memo_hits;
-    return it->second;
-  }
-  const std::uint32_t var = nodes_[a].var;
-  NodeId result = kInvalidNode;
-  if (nodes_[a].kind == Kind::kBit) {
-    result = bit_node(var, b_not(nodes_[a].lo), b_not(nodes_[a].hi));
-  } else {
-    const NodeId def = b_not(nodes_[a].lo);
-    std::vector<std::pair<std::uint64_t, NodeId>> edges;
-    for (const auto& e : edges_of(nodes_[a])) {
-      edges.emplace_back(e.first, b_not(e.second));
     }
     result = value_node(var, std::move(edges), def);
   }

@@ -82,7 +82,6 @@ class DiagramStore {
 
   [[nodiscard]] NodeId leaf(std::uint64_t payload);
   [[nodiscard]] bool is_leaf(NodeId id) const noexcept;
-  [[nodiscard]] std::uint64_t leaf_payload(NodeId id) const;
 
   /// Reduced, interned binary node; returns `lo` when lo == hi.
   [[nodiscard]] NodeId bit_node(std::uint32_t var, NodeId lo, NodeId hi);
@@ -103,7 +102,6 @@ class DiagramStore {
 
   [[nodiscard]] NodeId b_and(NodeId a, NodeId b);  ///< intersect
   [[nodiscard]] NodeId b_or(NodeId a, NodeId b);   ///< union
-  [[nodiscard]] NodeId b_not(NodeId a);            ///< negate
   /// a ∩ b = ∅, for slice-region proofs.
   [[nodiscard]] bool disjoint(NodeId a, NodeId b) {
     return b_and(a, b) == false_;
@@ -164,9 +162,6 @@ class DiagramStore {
       NodeId root, std::uint32_t var) const;
 
   [[nodiscard]] const StoreStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return nodes_.size();
-  }
 
  private:
   enum class Kind : std::uint8_t { kLeaf, kBit, kValue };

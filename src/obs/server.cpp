@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -71,6 +72,11 @@ Result<ParsedAddr> parse_addr(const std::string& addr) {
   return out;
 }
 
+/// Per-connection I/O deadline: a client that stalls on either side of
+/// the exchange is dropped after this long, so it cannot hold the one
+/// serving thread (or stop()'s join) hostage.
+constexpr auto kConnectionTimeout = std::chrono::seconds(2);
+
 struct Response {
   std::string_view content_type;
   std::string body;
@@ -118,11 +124,16 @@ struct ExpoServer::State {
   void serve_connection(int fd) {
     // Read until the end of the request headers (or a sane cap); only
     // the request line is interpreted.
+    // SO_RCVTIMEO bounds each recv; the deadline also bounds a client
+    // that trickles bytes.
     std::string req;
     char buf[2048];
-    while (req.find("\r\n\r\n") == std::string::npos && req.size() < 16384) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + kConnectionTimeout;
+    while (req.find("\r\n\r\n") == std::string::npos &&
+           req.size() < 16384 && std::chrono::steady_clock::now() < deadline) {
       const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;
+      if (n <= 0) break;  // closed, error, or SO_RCVTIMEO fired
       req.append(buf, static_cast<std::size_t>(n));
     }
     const auto line_end = req.find("\r\n");
@@ -182,6 +193,10 @@ struct ExpoServer::State {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         break;  // listening socket is gone; nothing left to serve
       }
+      timeval timeout{};
+      timeout.tv_sec = kConnectionTimeout.count();
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
       serve_connection(fd);
       ::shutdown(fd, SHUT_RDWR);
       ::close(fd);

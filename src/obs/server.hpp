@@ -18,6 +18,9 @@
 // a scrape every few seconds is the intended load, not a web workload.
 // Requests are served sequentially, so consecutive scrapes observe
 // nondecreasing counters and the ScrapeDiff state needs no locking.
+// Each connection gets a 2 s receive and send deadline: a client that
+// connects and stalls is dropped instead of blocking every later scrape
+// and stop()'s join.
 //
 // Start via start("host:port") — port 0 binds an ephemeral port,
 // re-readable through port() — or start_from_env(), which reads

@@ -5,6 +5,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -40,19 +41,34 @@ TEST(ServerCompiledOut, EnvStartPropagatesUnimplemented) {
 
 #else
 
-/// Blocking one-shot HTTP GET against 127.0.0.1:`port`; returns the full
-/// response (status line + headers + body) or "" on connect failure.
-std::string http_get(std::uint16_t port, const std::string& path) {
+/// Socket connected to 127.0.0.1:`port`, or -1 on failure. A positive
+/// `recv_timeout_s` bounds every recv on it.
+int connect_loopback(std::uint16_t port, int recv_timeout_s = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
+  if (recv_timeout_s > 0) {
+    timeval timeout{};
+    timeout.tv_sec = recv_timeout_s;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// One-shot HTTP GET against 127.0.0.1:`port`; returns the full response
+/// (status line + headers + body), "" on connect failure, and whatever
+/// arrived before the timeout when `recv_timeout_s` > 0 runs out.
+std::string http_get(std::uint16_t port, const std::string& path,
+                     int recv_timeout_s = 0) {
+  const int fd = connect_loopback(port, recv_timeout_s);
+  if (fd < 0) return "";
   const std::string request = "GET " + path +
                               " HTTP/1.1\r\nHost: localhost\r\n"
                               "Connection: close\r\n\r\n";
@@ -183,6 +199,21 @@ TEST_F(ServerTest, SecondStartFailsWhileRunning) {
   ASSERT_TRUE(server.start("127.0.0.1:0").is_ok());
   EXPECT_NE(http_get(server.port(), "/healthz").find("200"),
             std::string::npos);
+}
+
+TEST_F(ServerTest, IdleClientDoesNotStallLaterScrapes) {
+  // A client that connects and sends nothing holds the serving thread
+  // until the server's 2 s deadline drops it; the scrape queued behind it
+  // must still be answered. The scraper's own 10 s receive timeout turns
+  // a server without a deadline into a failure here instead of a hang.
+  const int idle = connect_loopback(server_.port());
+  ASSERT_GE(idle, 0);
+  const std::string response = http_get(server_.port(), "/healthz", 10);
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos);
+  EXPECT_EQ(body_of(response), "ok\n");
+  ::close(idle);
+  server_.stop();
+  EXPECT_FALSE(server_.running());
 }
 
 TEST(ServerStart, RejectsMalformedAddresses) {

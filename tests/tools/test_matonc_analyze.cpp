@@ -1,7 +1,9 @@
-// Golden-output test for `matonc --analyze`: shells out to the real
-// binary (path injected via MATONC_BIN) and checks the JSON report
-// byte-for-byte for a fixed built-in program, plus renderer selection
-// and the exit-code contract (non-zero iff error-severity diagnostics).
+// Subprocess tests of the real matonc binary (path injected via
+// MATONC_BIN). `--analyze`: the JSON report byte-for-byte for a fixed
+// built-in program, renderer selection and the exit-code contract
+// (non-zero iff error-severity diagnostics). `normalize`: every sample
+// spec (MATON_SPECS_DIR) is proven equivalent symbolically, and the
+// retired `--verify` switch is a usage error.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,6 +12,9 @@
 
 #ifndef MATONC_BIN
 #error "MATONC_BIN must point at the matonc executable"
+#endif
+#ifndef MATON_SPECS_DIR
+#error "MATON_SPECS_DIR must point at examples/specs"
 #endif
 
 namespace {
@@ -122,6 +127,33 @@ TEST(MatoncAnalyze, SeedShapeIsCleanInAllRepresentations) {
 TEST(MatoncAnalyze, BadSpecFailsWithUsage) {
   const RunResult result = run_matonc("analyze gwlb:bogus --analyze");
   EXPECT_NE(result.exit_code, 0);
+}
+
+std::string spec(const char* name) {
+  return std::string(MATON_SPECS_DIR) + "/" + name;
+}
+
+TEST(MatoncNormalize, EverySampleSpecIsProvenSymbolically) {
+  for (const char* name : {"gwlb.maton", "l3.maton", "vlan.maton"}) {
+    const RunResult result = run_matonc("normalize " + spec(name));
+    EXPECT_EQ(result.exit_code, 0) << name << "\n" << result.out;
+    EXPECT_NE(result.out.find("# verified equivalent symbolically"),
+              std::string::npos)
+        << name << "\n" << result.out;
+    EXPECT_EQ(result.out.find("probe packets"), std::string::npos)
+        << name << "\n" << result.out;
+  }
+}
+
+TEST(MatoncNormalize, VerifySwitchIsRejected) {
+  const RunResult result =
+      run_matonc("normalize " + spec("gwlb.maton") + " --verify=probe");
+  EXPECT_EQ(result.exit_code, 2) << result.out;
+  EXPECT_NE(result.out.find("unknown option '--verify=probe'"),
+            std::string::npos)
+      << result.out;
+  EXPECT_NE(result.out.find("usage: matonc"), std::string::npos)
+      << result.out;
 }
 
 }  // namespace

@@ -138,9 +138,9 @@ if raw["context"]["num_cpus"] <= 1:
         "host exposes a single CPU: the multi-queue replay curve is "
         "expected to be flat here; queues scale with physical cores")
 
-# Fold the run's telemetry scrape (per-table hit/miss counters, lookup
-# histograms, replay totals) into the baseline record. Empty when the
-# bench was built with MATON_OBS_OFF.
+# Fold the run's telemetry scrape (per-template stage hit/miss counters,
+# lookup histograms, replay totals) into the baseline record. Empty when
+# the bench was built with MATON_OBS_OFF.
 try:
     raw["metrics"] = json.load(open(sys.argv[3]))
 except (OSError, ValueError):

@@ -258,27 +258,11 @@ class OvsModel final : public OvsModelInterface {
     }
   }
 
-  Status apply_update(const RuleUpdate& update) override {
-    ApplyOutcome outcome;
-    if (Status s = apply_update_to_program(program_, update, &outcome);
-        !s.is_ok()) {
-      return s;
-    }
-    carry_counters(update.table, outcome);
-    // Revalidation model: any OpenFlow change invalidates the datapath
-    // cache wholesale.
-    cache_.clear();
-    ++stats_.cache_flushes;
-    stats_.cache_entries = 0;
-    mf_flushes_->add();
-    mf_occupancy_->set(0.0);
-    return Status::ok();
-  }
-
-  /// Batched updates: rule mutation, counter carry-over, and the flush
-  /// *statistics* run per update (scalar semantics — each applied update
-  /// is one revalidation), but the cache teardown itself happens once for
-  /// the whole batch instead of once per update.
+  /// Updates: rule mutation, counter carry-over, and the flush
+  /// *statistics* run per update (each applied update is one
+  /// revalidation — any OpenFlow change invalidates the datapath cache
+  /// wholesale), but the cache teardown itself happens once for the whole
+  /// batch instead of once per update.
   Status apply_updates(std::span<const RuleUpdate> updates) override {
     Status result = Status::ok();
     bool any_applied = false;
@@ -289,7 +273,7 @@ class OvsModel final : public OvsModelInterface {
         result = s;
         break;
       }
-      carry_counters(update.table, outcome);
+      counters_.apply(update.table, outcome);
       ++stats_.cache_flushes;
       mf_flushes_->add();
       any_applied = true;
@@ -317,22 +301,6 @@ class OvsModel final : public OvsModelInterface {
   }
 
  private:
-  void carry_counters(std::size_t table, const ApplyOutcome& outcome) {
-    switch (outcome.kind) {
-      case ApplyOutcome::Kind::kInserted:
-        counters_.on_insert(table, outcome.index);
-        break;
-      case ApplyOutcome::Kind::kRemoved:
-        counters_.on_remove(table, outcome.index);
-        break;
-      case ApplyOutcome::Kind::kModifiedInPlace:
-        break;  // position unchanged; the rule inherits its count
-      case ApplyOutcome::Kind::kModifiedMoved:
-        counters_.on_move(table, outcome.index, outcome.moved_to);
-        break;
-    }
-  }
-
   /// Full pipeline traversal tracking the megaflow mask: bits of the
   /// *original* packet the decision depended on. Matches on fields
   /// rewritten earlier in the pipeline (metadata tags) do not widen the

@@ -67,17 +67,22 @@ class SwitchModel {
                                    std::span<const FlowKey> keys,
                                    std::span<ExecResult> results);
 
-  [[nodiscard]] virtual Status apply_update(const RuleUpdate& update) = 0;
+  /// Applies one update: exactly apply_updates over a one-element span,
+  /// so every model has a single update path.
+  [[nodiscard]] Status apply_update(const RuleUpdate& update) {
+    return apply_updates({&update, 1});
+  }
 
-  /// Applies `updates` in order, equivalent to calling apply_update per
-  /// element (same final rule state, counters, and model stats). The base
-  /// implementation is the scalar loop; software models override it to
-  /// run the per-table index maintenance — classifier recompilation,
-  /// cache-flush bookkeeping — once per touched table instead of once per
-  /// update. Stops at the first failure; updates already applied stay
-  /// applied (the §2 non-atomicity the inconsistency window measures).
+  /// Applies `updates` in order. Rule mutation and counter carry-over run
+  /// per update; the per-table index maintenance — classifier
+  /// recompilation, cache-flush bookkeeping — runs once per touched table
+  /// instead of once per update, and tables the batch does not touch cost
+  /// nothing. Splitting a batch into several calls yields the same rule
+  /// state, counters and model stats. Stops at the first failure; updates
+  /// already applied stay applied (the §2 non-atomicity the inconsistency
+  /// window measures).
   [[nodiscard]] virtual Status apply_updates(
-      std::span<const RuleUpdate> updates);
+      std::span<const RuleUpdate> updates) = 0;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
@@ -98,11 +103,25 @@ class SwitchModel {
   SwitchModel() = default;
 };
 
+/// How apply_update_to_program changed the table — what index
+/// maintenance (counters, classifiers) the caller still owes.
+struct ApplyOutcome {
+  enum class Kind {
+    kInserted,         // new rule at `index`; later rules shifted up
+    kRemoved,          // rule at `index` removed; later rules shifted down
+    kModifiedInPlace,  // rule at `index` replaced, position unchanged
+    kModifiedMoved,    // rule replaced and re-positioned `index` → `moved_to`
+  };
+  Kind kind = Kind::kModifiedInPlace;
+  std::size_t index = 0;
+  std::size_t moved_to = 0;  // kModifiedMoved only
+};
+
 /// Per-rule packet counters parallel to a program's tables, with the
 /// OpenFlow preservation semantics across rule updates. Shared by the
 /// switch model implementations. Counts are positional; the
 /// ApplyOutcome of apply_update_to_program says how positions moved, so
-/// carrying counters across an update is O(Δ) (or O(shift) for
+/// carrying counters across an update (apply) is O(Δ) (or O(shift) for
 /// structural edits) instead of a match-vector join.
 ///
 /// Sharded per replay queue: the counter array is replicated once per
@@ -113,7 +132,7 @@ class SwitchModel {
 /// folding them in ascending queue-id order; 64-bit addition is
 /// commutative and lossless here, so quiesced merged totals are exact
 /// and independent of queue interleaving. Structural ops (reset /
-/// on_insert / on_remove / on_move) and merging reads race-free only
+/// apply) and merging reads race-free only
 /// against bump()s, not against each other — they run on the quiesced
 /// control path by contract.
 class RuleCounters {
@@ -130,13 +149,10 @@ class RuleCounters {
   void bump_all(std::span<const MatchedRule> matched,
                 std::size_t queue = 0);
 
-  /// A rule was inserted at `pos` (fresh count of zero).
-  void on_insert(std::size_t table, std::size_t pos);
-  /// The rule at `pos` was removed.
-  void on_remove(std::size_t table, std::size_t pos);
-  /// The rule at `from` moved to `to` (kModify with a priority change);
-  /// it keeps its count — OpenFlow modify inherits the old stats.
-  void on_move(std::size_t table, std::size_t from, std::size_t to);
+  /// Carries the counters across one applied update of `table`, as its
+  /// outcome describes: inserts start at zero, removes drop their count,
+  /// and a modified rule inherits the old count wherever it lands.
+  void apply(std::size_t table, const ApplyOutcome& outcome);
 
   /// Merged (all-shard) count for the rule with the given match vector.
   [[nodiscard]] Result<std::uint64_t> read(
@@ -148,6 +164,14 @@ class RuleCounters {
                                      std::size_t rule) const;
 
  private:
+  /// A rule was inserted at `pos` (fresh count of zero).
+  void on_insert(std::size_t table, std::size_t pos);
+  /// The rule at `pos` was removed.
+  void on_remove(std::size_t table, std::size_t pos);
+  /// The rule at `from` moved to `to` (kModify with a priority change);
+  /// it keeps its count — OpenFlow modify inherits the old stats.
+  void on_move(std::size_t table, std::size_t from, std::size_t to);
+
   void rebuild_layout();
   [[nodiscard]] std::size_t slot(std::size_t queue, std::size_t table,
                                  std::size_t rule) const noexcept {
@@ -196,7 +220,7 @@ class HwTcamModel final : public SwitchModel {
  public:
   Status load(Program program) override;
   ExecResult process(const FlowKey& key) override;
-  Status apply_update(const RuleUpdate& update) override;
+  Status apply_updates(std::span<const RuleUpdate> updates) override;
   [[nodiscard]] Result<std::uint64_t> read_rule_counter(
       std::size_t table,
       const std::vector<FieldMatch>& target) const override;
@@ -243,20 +267,6 @@ class HwTcamModel final : public SwitchModel {
   Program program_;
   RuleCounters counters_;
   MatchedBuf matched_scratch_;
-};
-
-/// How apply_update_to_program changed the table — what index
-/// maintenance (counters, classifiers) the caller still owes.
-struct ApplyOutcome {
-  enum class Kind {
-    kInserted,         // new rule at `index`; later rules shifted up
-    kRemoved,          // rule at `index` removed; later rules shifted down
-    kModifiedInPlace,  // rule at `index` replaced, position unchanged
-    kModifiedMoved,    // rule replaced and re-positioned `index` → `moved_to`
-  };
-  Kind kind = Kind::kModifiedInPlace;
-  std::size_t index = 0;
-  std::size_t moved_to = 0;  // kModifiedMoved only
 };
 
 /// Applies `update` to a program's table in place (shared by the software

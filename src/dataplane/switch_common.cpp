@@ -14,13 +14,6 @@ void SwitchModel::process_batch(std::span<const FlowKey> keys,
   }
 }
 
-Status SwitchModel::apply_updates(std::span<const RuleUpdate> updates) {
-  for (const RuleUpdate& update : updates) {
-    if (Status s = apply_update(update); !s.is_ok()) return s;
-  }
-  return Status::ok();
-}
-
 bool SwitchModel::configure_queues(std::size_t queues) {
   return queues == 1;
 }
@@ -123,6 +116,22 @@ void RuleCounters::bump(std::size_t table, std::size_t rule,
 void RuleCounters::bump_all(std::span<const MatchedRule> matched,
                             std::size_t queue) {
   for (const MatchedRule& m : matched) bump(m.table, m.rule, queue);
+}
+
+void RuleCounters::apply(std::size_t table, const ApplyOutcome& outcome) {
+  switch (outcome.kind) {
+    case ApplyOutcome::Kind::kInserted:
+      on_insert(table, outcome.index);
+      break;
+    case ApplyOutcome::Kind::kRemoved:
+      on_remove(table, outcome.index);
+      break;
+    case ApplyOutcome::Kind::kModifiedInPlace:
+      break;  // position unchanged; the rule inherits its count
+    case ApplyOutcome::Kind::kModifiedMoved:
+      on_move(table, outcome.index, outcome.moved_to);
+      break;
+  }
 }
 
 void RuleCounters::on_insert(std::size_t table, std::size_t pos) {
@@ -244,24 +253,14 @@ ExecResult HwTcamModel::process(const FlowKey& key) {
   return result;
 }
 
-Status HwTcamModel::apply_update(const RuleUpdate& update) {
-  ApplyOutcome outcome;
-  if (Status s = apply_update_to_program(program_, update, &outcome);
-      !s.is_ok()) {
-    return s;
-  }
-  switch (outcome.kind) {
-    case ApplyOutcome::Kind::kInserted:
-      counters_.on_insert(update.table, outcome.index);
-      break;
-    case ApplyOutcome::Kind::kRemoved:
-      counters_.on_remove(update.table, outcome.index);
-      break;
-    case ApplyOutcome::Kind::kModifiedInPlace:
-      break;  // position unchanged; the rule inherits its count
-    case ApplyOutcome::Kind::kModifiedMoved:
-      counters_.on_move(update.table, outcome.index, outcome.moved_to);
-      break;
+Status HwTcamModel::apply_updates(std::span<const RuleUpdate> updates) {
+  for (const RuleUpdate& update : updates) {
+    ApplyOutcome outcome;
+    if (Status s = apply_update_to_program(program_, update, &outcome);
+        !s.is_ok()) {
+      return s;
+    }
+    counters_.apply(update.table, outcome);
   }
   return Status::ok();
 }

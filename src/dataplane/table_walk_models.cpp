@@ -3,8 +3,10 @@
 // and in the fixed per-packet framework overhead.
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dataplane/switch.hpp"
@@ -29,15 +31,13 @@ class TableWalkSwitch : public SwitchModel {
 
   Status load(Program program) override {
     program_ = std::move(program);
-    classifiers_.clear();
-    classifiers_.reserve(program_.tables.size());
-    for (const TableSpec& table : program_.tables) {
-      classifiers_.push_back(instantiate(table));
-    }
+    batch_chunk_size_ = &obs::MetricRegistry::global().histogram(
+        "maton_dp_batch_chunk_size", {{"model", std::string(name())}});
+    stages_.clear();
+    stages_.resize(program_.tables.size());
+    for (std::size_t t = 0; t < stages_.size(); ++t) build_stage(t);
     counters_.reset(program_, queues_);
     ensure_scratch();
-    recompute_mutates();
-    resolve_metrics();
     return Status::ok();
   }
 
@@ -68,14 +68,15 @@ class TableWalkSwitch : public SwitchModel {
               "table graph cycle during processing");
       ++result.tables_visited;
 
-      const auto rule_idx = classifiers_[idx]->lookup(state);
+      const Stage& stage = stages_[idx];
+      const auto rule_idx = stage.classifier->lookup(state);
       if (!rule_idx.has_value()) {
-        stage_metrics_[idx].misses->add();
+        stage.metrics->misses->add();
         result.hit = false;
         result.out_port = 0;
         return result;
       }
-      stage_metrics_[idx].hits->add();
+      stage.metrics->hits->add();
       counters_.bump(idx, *rule_idx);
       const TableSpec& table = program_.tables[idx];
       const RuleView rule = table.rules[*rule_idx];
@@ -113,19 +114,17 @@ class TableWalkSwitch : public SwitchModel {
     run_batch(queue, *scratch_[queue], keys, results);
   }
 
-  /// Batched update application: structural mutation and counter
-  /// carry-over run per update in order (exact scalar semantics,
-  /// including mid-sequence failures); the per-table index maintenance
-  /// is delta-scoped. A same-priority modify first offers the change to
-  /// the table's classifier via apply_modify — when the template can
-  /// patch its index in place (value rewrite, point re-hash) no rebuild
-  /// happens at all. Tables whose classifier declines, or that saw
-  /// structural edits (insert/remove/re-position), are recompiled once
-  /// per *touched table* instead of once per update.
+  /// Update application: structural mutation and counter carry-over run
+  /// per update in order (exact sequential semantics, including
+  /// mid-sequence failures); the per-table index maintenance is
+  /// delta-scoped. A same-priority modify first offers the change to the
+  /// table's classifier via apply_modify — when the template can patch
+  /// its index in place (value rewrite, point re-hash) no rebuild happens
+  /// at all. Tables whose classifier declines, or that saw structural
+  /// edits (insert/remove/re-position), are recompiled once per *touched
+  /// table* instead of once per update; untouched tables cost nothing.
   Status apply_updates(std::span<const RuleUpdate> updates) override {
     Status result = Status::ok();
-    touched_.assign(program_.tables.size(), 0);
-    bool delta_maintained = false;
     for (const RuleUpdate& update : updates) {
       ApplyOutcome outcome;
       if (Status s = apply_update_to_program(program_, update, &outcome);
@@ -133,54 +132,19 @@ class TableWalkSwitch : public SwitchModel {
         result = s;
         break;
       }
-      apply_counters(update.table, outcome);
-      if (touched_[update.table] == 1) continue;  // rebuild already owed
-      if (outcome.kind == ApplyOutcome::Kind::kModifiedInPlace &&
-          classifiers_[update.table]->apply_modify(
-              program_.tables[update.table], outcome.index, update.target)) {
-        touched_[update.table] = 2;  // index patched in place
-        delta_maintained = true;
-      } else {
-        touched_[update.table] = 1;
+      counters_.apply(update.table, outcome);
+      Stage& stage = stages_[update.table];
+      if (stage.rebuild_owed) continue;
+      if (outcome.kind != ApplyOutcome::Kind::kModifiedInPlace ||
+          !stage.classifier->apply_modify(program_.tables[update.table],
+                                          outcome.index, update.target)) {
+        stage.rebuild_owed = true;
+        rebuild_.push_back(update.table);
       }
     }
-    bool rebuilt = false;
-    for (std::size_t t = 0; t < touched_.size(); ++t) {
-      if (touched_[t] != 1) continue;
-      classifiers_[t] = instantiate(program_.tables[t]);
-      rebuilt = true;
-    }
-    if (rebuilt) {
-      recompute_mutates();
-      // Recompiling can change the chosen classifier template, which is
-      // a metric label; re-resolve the handles.
-      resolve_metrics();
-    } else if (delta_maintained) {
-      for (const RuleUpdate& update : updates) widen_mutates(update.rule);
-    }
+    for (const std::size_t t : rebuild_) build_stage(t);
+    rebuild_.clear();
     return result;
-  }
-
-  Status apply_update(const RuleUpdate& update) override {
-    ApplyOutcome outcome;
-    if (Status s = apply_update_to_program(program_, update, &outcome);
-        !s.is_ok()) {
-      return s;
-    }
-    // Flow stats carry over per OpenFlow semantics (modify inherits).
-    apply_counters(update.table, outcome);
-    if (outcome.kind == ApplyOutcome::Kind::kModifiedInPlace &&
-        classifiers_[update.table]->apply_modify(
-            program_.tables[update.table], outcome.index, update.target)) {
-      widen_mutates(update.rule);
-      return Status::ok();
-    }
-    // Recompile the affected table's datapath classifier; the chosen
-    // template is a metric label, so re-resolve the handles.
-    classifiers_[update.table] = instantiate(program_.tables[update.table]);
-    recompute_mutates();
-    resolve_metrics();
-    return Status::ok();
   }
 
   [[nodiscard]] Result<std::uint64_t> read_rule_counter(
@@ -194,74 +158,50 @@ class TableWalkSwitch : public SwitchModel {
       const TableSpec& table) const = 0;
 
  private:
-  /// Per-table metric handles, resolved once per (re)load so the packet
-  /// path records through raw pointers without touching the registry.
-  struct StageMetrics {
+  /// Stage metric handles of one classifier template, resolved the first
+  /// time this model builds that template, so the packet path records
+  /// through raw pointers without touching the registry. Keyed by
+  /// (model, template): the series count is bounded by the template
+  /// inventory, not by the number of tables.
+  struct TemplateMetrics {
+    std::string tmpl;
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
     obs::Histogram* lookup_ns = nullptr;
-    /// Chunks dispatched, labeled by the classifier template serving the
-    /// table (exact/lpm/tss/linear) — shows which kernels carry traffic.
+    /// Chunks dispatched — shows which kernels carry traffic.
     obs::Counter* chunks = nullptr;
   };
 
-  void resolve_metrics() {
+  /// One table's datapath: its classifier and its template's handles.
+  struct Stage {
+    std::unique_ptr<Classifier> classifier;
+    const TemplateMetrics* metrics = nullptr;
+    bool rebuild_owed = false;  // queued in rebuild_ by apply_updates
+  };
+
+  /// (Re)builds table `t`'s classifier and points the stage at the
+  /// handles of the template it chose.
+  void build_stage(std::size_t t) {
+    Stage& stage = stages_[t];
+    stage.classifier = instantiate(program_.tables[t]);
+    stage.metrics = &metrics_for(stage.classifier->name());
+    stage.rebuild_owed = false;
+  }
+
+  const TemplateMetrics& metrics_for(std::string_view tmpl) {
+    for (const TemplateMetrics& m : templates_) {
+      if (m.tmpl == tmpl) return m;
+    }
     auto& registry = obs::MetricRegistry::global();
-    const std::string model(name());
-    stage_metrics_.clear();
-    stage_metrics_.reserve(program_.tables.size());
-    for (std::size_t t = 0; t < program_.tables.size(); ++t) {
-      const obs::Labels labels{{"model", model},
-                               {"table", program_.tables[t].name}};
-      StageMetrics m;
-      m.hits = &registry.counter("maton_dp_table_hits_total", labels);
-      m.misses = &registry.counter("maton_dp_table_misses_total", labels);
-      m.lookup_ns = &registry.histogram("maton_dp_table_lookup_ns", labels);
-      m.chunks = &registry.counter(
-          "maton_dp_classifier_chunks_total",
-          {{"model", model},
-           {"template", std::string(classifiers_[t]->name())}});
-      stage_metrics_.push_back(m);
-    }
-    batch_chunk_size_ =
-        &registry.histogram("maton_dp_batch_chunk_size", {{"model", model}});
-  }
-
-  void apply_counters(std::size_t table, const ApplyOutcome& outcome) {
-    switch (outcome.kind) {
-      case ApplyOutcome::Kind::kInserted:
-        counters_.on_insert(table, outcome.index);
-        break;
-      case ApplyOutcome::Kind::kRemoved:
-        counters_.on_remove(table, outcome.index);
-        break;
-      case ApplyOutcome::Kind::kModifiedInPlace:
-        break;  // position unchanged; the rule inherits its count
-      case ApplyOutcome::Kind::kModifiedMoved:
-        counters_.on_move(table, outcome.index, outcome.moved_to);
-        break;
-    }
-  }
-
-  void recompute_mutates() {
-    mutates_ = false;
-    for (const TableSpec& table : program_.tables) {
-      for (const auto rule : table.rules) {
-        for (const Action action : rule.actions) {
-          mutates_ = mutates_ || action.kind == Action::Kind::kSetField;
-        }
-      }
-    }
-  }
-
-  /// Delta-scoped mutates_ maintenance: a patched-in-place rule can only
-  /// *add* set-field work. Widening is always safe (it merely re-enables
-  /// the key copy in process_batch); narrowing would need a full scan,
-  /// which the next rebuild performs anyway.
-  void widen_mutates(const Rule& rule) {
-    for (const Action& action : rule.actions) {
-      mutates_ = mutates_ || action.kind == Action::Kind::kSetField;
-    }
+    const obs::Labels labels{{"model", std::string(name())},
+                             {"template", std::string(tmpl)}};
+    TemplateMetrics& m = templates_.emplace_back();
+    m.tmpl = tmpl;
+    m.hits = &registry.counter("maton_dp_table_hits_total", labels);
+    m.misses = &registry.counter("maton_dp_table_misses_total", labels);
+    m.lookup_ns = &registry.histogram("maton_dp_table_lookup_ns", labels);
+    m.chunks = &registry.counter("maton_dp_classifier_chunks_total", labels);
+    return m;
   }
 
   /// Batch-walker scratch, one context per configured replay queue and
@@ -297,11 +237,10 @@ class TableWalkSwitch : public SwitchModel {
     if (num_tables == 0 || keys.empty()) return;
 
     expects(program_.entry < num_tables, "program entry out of range");
-    // Programs without set-field actions never mutate packet state, so
-    // the walker can classify straight out of the caller's key array
-    // instead of copying every FlowKey into the scratch buffer.
-    if (mutates_) s.states.assign(keys.begin(), keys.end());
-    const FlowKey* state_base = mutates_ ? s.states.data() : keys.data();
+    // The walker classifies straight out of the caller's key array until
+    // the first set-field action of the batch; only then are the keys
+    // copied into the mutable per-queue states.
+    const FlowKey* state_base = keys.data();
     s.buckets.resize(num_tables);
     for (auto& bucket : s.buckets) bucket.clear();
     for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -349,11 +288,12 @@ class TableWalkSwitch : public SwitchModel {
         // and a handful of relaxed adds amortized over the whole chunk.
         std::uint64_t lookup_start = 0;
         if constexpr (obs::kEnabled) lookup_start = now_ns();
-        classifiers_[t]->lookup_batch(stage_keys, s.rule_out);
+        const Stage& stage = stages_[t];
+        stage.classifier->lookup_batch(stage_keys, s.rule_out);
         if constexpr (obs::kEnabled) {
-          stage_metrics_[t].lookup_ns->observe(
+          stage.metrics->lookup_ns->observe(
               static_cast<double>(now_ns() - lookup_start));
-          stage_metrics_[t].chunks->add();
+          stage.metrics->chunks->add();
           batch_chunk_size_->observe(static_cast<double>(s.moving.size()));
         }
         std::uint64_t stage_hits = 0;
@@ -379,6 +319,10 @@ class TableWalkSwitch : public SwitchModel {
             if (action.kind == Action::Kind::kOutput) {
               result.out_port = action.value;
             } else {
+              if (state_base == keys.data()) {
+                s.states.assign(keys.begin(), keys.end());
+                state_base = s.states.data();
+              }
               s.states[p].set(action.field, action.value);
             }
           }
@@ -395,25 +339,24 @@ class TableWalkSwitch : public SwitchModel {
             result.hit = true;
           }
         }
-        if (stage_hits != 0) stage_metrics_[t].hits->add(stage_hits);
-        if (stage_misses != 0) stage_metrics_[t].misses->add(stage_misses);
+        if (stage_hits != 0) stage.metrics->hits->add(stage_hits);
+        if (stage_misses != 0) stage.metrics->misses->add(stage_misses);
         s.moving.clear();
       }
     }
   }
 
   Program program_;
-  std::vector<std::unique_ptr<Classifier>> classifiers_;
+  std::vector<Stage> stages_;
   RuleCounters counters_;
-  std::vector<StageMetrics> stage_metrics_;
+  /// At most one entry per template; a deque keeps the stages' pointers
+  /// valid as templates are added.
+  std::deque<TemplateMetrics> templates_;
   obs::Histogram* batch_chunk_size_ = nullptr;
-  /// Whether any loaded rule carries a set-field action; when false the
-  /// batch walker skips copying keys into states_.
-  bool mutates_ = false;
 
   std::size_t queues_ = 1;
   std::vector<std::unique_ptr<QueueScratch>> scratch_;
-  std::vector<std::uint8_t> touched_;  // apply_updates scratch
+  std::vector<std::size_t> rebuild_;  // apply_updates scratch
 };
 
 class ESwitchModel final : public TableWalkSwitch {

@@ -8,12 +8,14 @@
 #if !defined(MATON_OBS_OFF)
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 #endif
 
 #include "obs/diff.hpp"
@@ -72,28 +74,23 @@ Result<ParsedAddr> parse_addr(const std::string& addr) {
   return out;
 }
 
-/// Per-connection I/O deadline: a client that stalls on either side of
-/// the exchange is dropped after this long, so it cannot hold the one
-/// serving thread (or stop()'s join) hostage.
+/// Per-connection deadline: a client that has not finished its exchange
+/// this long after it connected is dropped, so it can hold neither a
+/// connection slot nor stop()'s join hostage.
 constexpr auto kConnectionTimeout = std::chrono::seconds(2);
 
-struct Response {
-  std::string_view content_type;
-  std::string body;
-};
+/// Connections served at once. Further clients wait in the listen
+/// backlog until a slot frees, at the latest when a deadline expires.
+constexpr std::size_t kMaxConnections = 8;
 
-void send_all(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n <= 0) return;  // peer went away; nothing to recover
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
+/// Request bytes read before the request is answered regardless.
+constexpr std::size_t kMaxRequestBytes = 16384;
 
-void send_response(int fd, int code, std::string_view reason,
-                   std::string_view content_type, const std::string& body,
-                   bool head_only) {
+using Clock = std::chrono::steady_clock;
+
+std::string make_response(int code, std::string_view reason,
+                          std::string_view content_type,
+                          const std::string& body, bool head_only) {
   std::string out = "HTTP/1.1 " + std::to_string(code) + " ";
   out += reason;
   out += "\r\nContent-Type: ";
@@ -101,13 +98,31 @@ void send_response(int fd, int code, std::string_view reason,
   out += "\r\nContent-Length: " + std::to_string(body.size());
   out += "\r\nConnection: close\r\n\r\n";
   if (!head_only) out += body;
-  send_all(fd, out.data(), out.size());
+  return out;
 }
 
 double monotonic_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
+  return std::chrono::duration<double>(Clock::now().time_since_epoch())
       .count();
+}
+
+/// The last socket call failed only for now; retry on the next poll.
+[[nodiscard]] bool transient_error() noexcept {
+  return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+}
+
+/// One client exchange: read the request, then write the response.
+struct Connection {
+  int fd = -1;
+  Clock::time_point deadline;
+  std::string request;
+  std::string response;  // non-empty once the request is answered
+  std::size_t sent = 0;
+};
+
+void close_connection(const Connection& c) {
+  ::shutdown(c.fd, SHUT_RDWR);
+  ::close(c.fd);
 }
 
 }  // namespace
@@ -119,32 +134,20 @@ struct ExpoServer::State {
   std::thread thread;
   std::atomic<bool> stopping{false};
   std::atomic<bool> running{false};
-  ScrapeDiff diff;  // touched only from the accept-loop thread
+  ScrapeDiff diff;  // touched only from the serving thread
 
-  void serve_connection(int fd) {
-    // Read until the end of the request headers (or a sane cap); only
-    // the request line is interpreted.
-    // SO_RCVTIMEO bounds each recv; the deadline also bounds a client
-    // that trickles bytes.
-    std::string req;
-    char buf[2048];
-    const auto deadline =
-        std::chrono::steady_clock::now() + kConnectionTimeout;
-    while (req.find("\r\n\r\n") == std::string::npos &&
-           req.size() < 16384 && std::chrono::steady_clock::now() < deadline) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;  // closed, error, or SO_RCVTIMEO fired
-      req.append(buf, static_cast<std::size_t>(n));
-    }
+  /// The full HTTP response to `req`; "" when there is nothing to
+  /// answer (no request line arrived). Only the request line is
+  /// interpreted.
+  std::string respond(const std::string& req) {
     const auto line_end = req.find("\r\n");
-    if (line_end == std::string::npos) return;
+    if (line_end == std::string::npos) return "";
     const std::string line = req.substr(0, line_end);
     const auto sp1 = line.find(' ');
     const auto sp2 = line.rfind(' ');
     if (sp1 == std::string::npos || sp2 <= sp1) {
-      send_response(fd, 400, "Bad Request", "text/plain", "bad request\n",
-                    false);
-      return;
+      return make_response(400, "Bad Request", "text/plain",
+                           "bad request\n", false);
     }
     const std::string method = line.substr(0, sp1);
     std::string path = line.substr(sp1 + 1, sp2 - sp1 - 1);
@@ -153,54 +156,115 @@ struct ExpoServer::State {
     }
     const bool head = method == "HEAD";
     if (!head && method != "GET") {
-      send_response(fd, 405, "Method Not Allowed", "text/plain",
-                    "only GET and HEAD\n", false);
-      return;
+      return make_response(405, "Method Not Allowed", "text/plain",
+                           "only GET and HEAD\n", false);
     }
 
     if (path == "/healthz") {
-      send_response(fd, 200, "OK", "text/plain; charset=utf-8", "ok\n",
-                    head);
-      return;
+      return make_response(200, "OK", "text/plain; charset=utf-8", "ok\n",
+                           head);
     }
     if (path == "/trace") {
-      send_response(fd, 200, "OK", "application/json",
-                    render_chrome_trace(), head);
-      return;
+      return make_response(200, "OK", "application/json",
+                           render_chrome_trace(), head);
     }
     if (path == "/metrics" || path == "/metrics.json") {
       update_derived_gauges();
       const Snapshot snap = diff.augment(MetricRegistry::global().scrape(),
                                          monotonic_seconds());
       if (path == "/metrics") {
-        send_response(fd, 200, "OK",
-                      "text/plain; version=0.0.4; charset=utf-8",
-                      render_prometheus(snap), head);
-      } else {
-        send_response(fd, 200, "OK", "application/json", render_json(snap),
-                      head);
+        return make_response(200, "OK",
+                             "text/plain; version=0.0.4; charset=utf-8",
+                             render_prometheus(snap), head);
       }
-      return;
+      return make_response(200, "OK", "application/json", render_json(snap),
+                           head);
     }
-    send_response(fd, 404, "Not Found", "text/plain", "not found\n", false);
+    return make_response(404, "Not Found", "text/plain", "not found\n",
+                         false);
   }
 
-  void accept_loop() {
-    while (!stopping.load(std::memory_order_relaxed)) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (stopping.load(std::memory_order_relaxed)) break;
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        break;  // listening socket is gone; nothing left to serve
+  /// Moves `c` forward as far as its socket allows without blocking:
+  /// reads until the request headers are complete (or the peer closes,
+  /// or the cap is hit), answers, then writes. True when it is done.
+  bool advance(Connection& c) {
+    if (c.response.empty()) {
+      char buf[2048];
+      const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
+      if (n < 0 && transient_error()) return false;
+      if (n > 0) c.request.append(buf, static_cast<std::size_t>(n));
+      if (n > 0 && c.request.find("\r\n\r\n") == std::string::npos &&
+          c.request.size() < kMaxRequestBytes) {
+        return false;
       }
-      timeval timeout{};
-      timeout.tv_sec = kConnectionTimeout.count();
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-      serve_connection(fd);
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
+      c.response = respond(c.request);
+      if (c.response.empty()) return true;
     }
+    while (c.sent < c.response.size()) {
+      const ssize_t n = ::send(c.fd, c.response.data() + c.sent,
+                               c.response.size() - c.sent, MSG_NOSIGNAL);
+      if (n < 0 && transient_error()) return false;  // buffer full
+      if (n <= 0) return true;                        // peer gone
+      c.sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// One thread polls the listening socket and up to kMaxConnections
+  /// non-blocking clients, so a stalled client delays no other scrape.
+  /// Requests are still answered one at a time on this thread.
+  void serve_loop() {
+    std::vector<Connection> conns;
+    std::vector<pollfd> fds;
+    while (!stopping.load(std::memory_order_relaxed)) {
+      const auto now = Clock::now();
+      int timeout_ms = -1;
+      fds.assign(1, {listen_fd,
+                     static_cast<short>(conns.size() < kMaxConnections
+                                            ? POLLIN
+                                            : 0),
+                     0});
+      for (const Connection& c : conns) {
+        fds.push_back({c.fd,
+                       static_cast<short>(c.response.empty() ? POLLIN
+                                                             : POLLOUT),
+                       0});
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            c.deadline - now);
+        const int ms = static_cast<int>(std::max<long long>(0, left.count()));
+        timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+      }
+      if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
+        if (errno == EINTR) continue;
+        break;
+      }
+      if ((fds[0].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
+        break;  // listening socket shut down by stop()
+      }
+      const auto after = Clock::now();
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < conns.size(); ++i) {
+        Connection& c = conns[i];
+        const bool done = (fds[i + 1].revents != 0 && advance(c)) ||
+                          after >= c.deadline;
+        if (done) {
+          close_connection(c);
+          continue;
+        }
+        if (kept != i) conns[kept] = std::move(c);
+        ++kept;
+      }
+      conns.resize(kept);
+      if ((fds[0].revents & POLLIN) != 0) {
+        const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
+        if (fd >= 0) {
+          conns.push_back({.fd = fd, .deadline = after + kConnectionTimeout});
+        } else if (!transient_error() && errno != ECONNABORTED) {
+          break;  // listening socket is unusable; nothing left to serve
+        }
+      }
+    }
+    for (const Connection& c : conns) close_connection(c);
   }
 };
 
@@ -215,7 +279,7 @@ Status ExpoServer::start(const std::string& addr) {
   const auto parsed = parse_addr(addr);
   if (!parsed.is_ok()) return parsed.status();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     return internal_error(std::string("socket: ") + std::strerror(errno));
   }
@@ -257,18 +321,18 @@ Status ExpoServer::start(const std::string& addr) {
   state_->host = parsed.value().host;
   state_->stopping.store(false, std::memory_order_relaxed);
   state_->running.store(true, std::memory_order_relaxed);
-  state_->thread = std::thread([s = state_.get()] { s->accept_loop(); });
+  state_->thread = std::thread([s = state_.get()] { s->serve_loop(); });
   return Status::ok();
 }
 
 void ExpoServer::stop() {
   if (!state_->running.load(std::memory_order_relaxed)) return;
   state_->stopping.store(true, std::memory_order_relaxed);
-  // Unblock accept(): shutdown() wakes it on Linux; close() finishes the
-  // job everywhere else.
+  // shutdown() wakes the serving thread's poll() with POLLHUP on the
+  // listening socket; close it only once that thread is gone.
   ::shutdown(state_->listen_fd, SHUT_RDWR);
-  ::close(state_->listen_fd);
   if (state_->thread.joinable()) state_->thread.join();
+  ::close(state_->listen_fd);
   state_->listen_fd = -1;
   state_->port = 0;
   state_->running.store(false, std::memory_order_relaxed);

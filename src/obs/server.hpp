@@ -13,14 +13,14 @@
 //                   span rings (loads in chrome://tracing / Perfetto)
 //   /healthz        200 "ok\n"
 //
-// Design: one blocking accept loop on a background std::thread, one
-// connection served at a time, no keep-alive, no external dependencies —
-// a scrape every few seconds is the intended load, not a web workload.
-// Requests are served sequentially, so consecutive scrapes observe
-// nondecreasing counters and the ScrapeDiff state needs no locking.
-// Each connection gets a 2 s receive and send deadline: a client that
-// connects and stalls is dropped instead of blocking every later scrape
-// and stop()'s join.
+// Design: one background std::thread polls the listening socket and up
+// to eight non-blocking client connections, no keep-alive, no external
+// dependencies — a scrape every few seconds is the intended load, not a
+// web workload. Requests are answered one at a time on that thread, so
+// consecutive scrapes observe nondecreasing counters and the ScrapeDiff
+// state needs no locking. Each connection has a 2 s deadline from
+// accept: a client that connects and stalls is dropped then, and delays
+// no other client's scrape (nor stop()'s join) meanwhile.
 //
 // Start via start("host:port") — port 0 binds an ephemeral port,
 // re-readable through port() — or start_from_env(), which reads

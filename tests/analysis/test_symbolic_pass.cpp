@@ -50,7 +50,9 @@ const Diagnostic* find_code(const Report& report, std::string_view code) {
 TEST(SymbolicPass, SkippedWithoutInputs) {
   const Report report = run(Input{});
   for (const PassStats& pass : report.passes) {
-    if (pass.name == "symbolic") EXPECT_FALSE(pass.ran);
+    if (pass.name == "symbolic") {
+      EXPECT_FALSE(pass.ran);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/decompose.hpp"
+#include "obs/metrics.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
 #include "workloads/gwlb.hpp"
@@ -210,6 +211,38 @@ TEST(OvsModel, UpdateFlushesCache) {
   ASSERT_TRUE(sw->apply_update(update).is_ok());
   EXPECT_EQ(ovs->stats().cache_entries, 0u);
   EXPECT_EQ(ovs->stats().cache_flushes, 1u);
+}
+
+// Stage telemetry is keyed by (model, template), so the number of
+// maton_dp_* series a table-walk model exports does not grow with the
+// number of tables it serves (bounded label cardinality).
+std::size_t dp_series() {
+  std::size_t n = 0;
+  for (const auto& m : obs::MetricRegistry::global().scrape().metrics) {
+    if (m.name.rfind("maton_dp_", 0) == 0) ++n;
+  }
+  return n;
+}
+
+TEST(StageTelemetry, SeriesCountDoesNotGrowWithTables) {
+  std::vector<std::size_t> counts;
+  for (const std::size_t services : {20, 200}) {
+    const auto gwlb = workloads::make_gwlb(
+        {.num_services = services, .num_backends = 8, .seed = 5});
+    const Program program =
+        compile(workloads::gwlb_goto_pipeline(gwlb)).value();
+    ASSERT_EQ(program.tables.size(), services + 1);
+    const auto keys = probe_keys(gwlb, 64);
+    std::vector<ExecResult> results(keys.size());
+    for (const bool eswitch : {true, false}) {
+      const auto sw = eswitch ? make_eswitch_model() : make_lagopus_model();
+      ASSERT_TRUE(sw->load(program).is_ok());
+      sw->process_batch(keys, results);
+    }
+    counts.push_back(dp_series());
+  }
+  EXPECT_GT(counts[0], 0u);
+  EXPECT_EQ(counts[0], counts[1]);
 }
 
 TEST(HwModel, CostModelShapes) {

@@ -210,6 +210,69 @@ TEST_P(UpdateSemantics, EmptyBatchIsANoOp) {
   EXPECT_EQ(sw->process(key(1)).out_port, 10u);
 }
 
+// ---------------------------------------------------------------------
+// An in-place modify can give a program its first set-field action
+// without a classifier rebuild (the exact template patches action-only
+// modifies). The batch walker must still rewrite packet state from then
+// on: process_batch == process == the reference executor.
+
+Program two_table_program() {
+  Program program = two_rule_program();
+  program.tables[0].next = 1;
+  TableSpec tag;
+  tag.name = "t1";
+  tag.fields = {FieldId::kMeta0};
+  Rule untagged;
+  untagged.priority = 32;
+  untagged.matches = {{FieldId::kMeta0, 0, field_full_mask(FieldId::kMeta0)}};
+  untagged.actions = {{Action::Kind::kOutput, FieldId::kMeta0, 50}};
+  Rule tagged = untagged;
+  tagged.matches[0].value = 7;
+  tagged.actions[0].value = 70;
+  tag.rules = {untagged, tagged};
+  program.tables.push_back(std::move(tag));
+  return program;
+}
+
+TEST(UpdateSetField, InPlaceModifyAddingSetFieldReachesBatchWalker) {
+  RuleUpdate modify;
+  modify.kind = RuleUpdate::Kind::kModify;
+  modify.table = 0;
+  modify.target = {{FieldId::kIpDst, 1, kFull32}};
+  modify.rule.priority = 32;  // same priority: patched in place
+  modify.rule.matches = modify.target;
+  modify.rule.actions = {{Action::Kind::kSetField, FieldId::kMeta0, 7},
+                         {Action::Kind::kOutput, FieldId::kMeta0, 10}};
+  Program want_program = two_table_program();
+  ASSERT_TRUE(apply_update_to_program(want_program, modify).is_ok());
+
+  std::vector<FlowKey> keys;
+  for (std::uint64_t dst = 0; dst < 40; ++dst) keys.push_back(key(dst % 4));
+  for (const char* which : {"eswitch", "lagopus"}) {
+    SCOPED_TRACE(which);
+    auto sw = std::string_view(which) == "eswitch" ? make_eswitch_model()
+                                                   : make_lagopus_model();
+    ASSERT_TRUE(sw->load(two_table_program()).is_ok());
+    std::vector<ExecResult> batch(keys.size());
+    sw->process_batch(keys, batch);  // warm the walker before the update
+    ASSERT_TRUE(sw->apply_update(modify).is_ok());
+
+    sw->process_batch(keys, batch);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const ExecResult want = execute_reference(want_program, keys[i]);
+      const ExecResult scalar = sw->process(keys[i]);
+      EXPECT_EQ(batch[i].hit, want.hit) << "key " << i;
+      EXPECT_EQ(batch[i].out_port, want.out_port) << "key " << i;
+      EXPECT_EQ(batch[i].tables_visited, want.tables_visited) << "key " << i;
+      EXPECT_EQ(scalar.hit, want.hit) << "key " << i;
+      EXPECT_EQ(scalar.out_port, want.out_port) << "key " << i;
+    }
+    // dst 1 now carries the tag into t1; dst 2 does not.
+    EXPECT_EQ(batch[1].out_port, 70u);
+    EXPECT_EQ(batch[2].out_port, 50u);
+  }
+}
+
 TEST(UpdateProgram, StandaloneHelper) {
   Program program = two_rule_program();
   RuleUpdate remove;

@@ -57,7 +57,7 @@ TEST(Registry, LabelOrderDoesNotMatter) {
 
 TEST(Registry, KindMismatchIsContractViolation) {
   MetricRegistry registry;
-  registry.counter("maton_test_metric");
+  (void)registry.counter("maton_test_metric");
   EXPECT_THROW((void)registry.gauge("maton_test_metric"),
                ContractViolation);
 }

@@ -8,6 +8,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -202,15 +203,23 @@ TEST_F(ServerTest, SecondStartFailsWhileRunning) {
 }
 
 TEST_F(ServerTest, IdleClientDoesNotStallLaterScrapes) {
-  // A client that connects and sends nothing holds the serving thread
-  // until the server's 2 s deadline drops it; the scrape queued behind it
-  // must still be answered. The scraper's own 10 s receive timeout turns
-  // a server without a deadline into a failure here instead of a hang.
-  const int idle = connect_loopback(server_.port());
+  // A client that connects and sends nothing must not delay a
+  // concurrent scrape, not even by its 2 s deadline. The scraper's own
+  // 10 s receive timeout turns a server that waits on the idle client
+  // into a failure here instead of a hang.
+  const int idle = connect_loopback(server_.port(), 5);
   ASSERT_GE(idle, 0);
+  const auto start = std::chrono::steady_clock::now();
   const std::string response = http_get(server_.port(), "/healthz", 10);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
   EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_EQ(body_of(response), "ok\n");
+  EXPECT_LT(took.count(), 0.5);
+  // The idle client is still dropped at its deadline: recv sees the
+  // server close the connection, not the client's own 5 s timeout.
+  char byte = 0;
+  EXPECT_EQ(::recv(idle, &byte, 1, 0), 0);
   ::close(idle);
   server_.stop();
   EXPECT_FALSE(server_.running());
